@@ -65,6 +65,14 @@
 //! The sweep is a pure function of ([`ProtocolKind`], [`FaultSweepConfig`]):
 //! same inputs, byte-identical [`SweepSummary`], regardless of how many
 //! sweeps run concurrently elsewhere.
+//!
+//! The plain sweep is the one-shard case of the shard-crossed sweep
+//! ([`run_shard_sweep`]): both build their workloads with one builder, and
+//! every scenario of either runs through one replayer on a fresh
+//! [`ShardedMemory`]. For the plain sweep that machine has one shard and
+//! seals no epochs, the fault is armed on shard 0's lane, and the crash,
+//! recovery and read-back run on shard 0's engine detached from the facade
+//! (one shard is bit-equivalent to a bare [`SecureMemory`]).
 
 use crate::error::IntegrityError;
 use crate::protocol::ProtocolKind;
@@ -74,6 +82,7 @@ use crate::untimed::UntimedMemory;
 use crate::{
     AmntConfig, AnubisConfig, BmfConfig, OsirisConfig, SecureMemory, SecureMemoryConfig, BLOCK_SIZE,
 };
+use amnt_bmt::BmtGeometry;
 use amnt_nvm::{CrashWriteMode, FaultHook, FaultPlan, NvmError, PhasedPlan, TornHalf};
 use amnt_prng::Rng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -247,8 +256,8 @@ enum Op {
     Read { addr: u64 },
 }
 
-/// The seeded workload plus the ground-truth write history it implies.
-#[derive(Debug, Clone)]
+/// One tenant's workload plus the ground-truth write history it implies.
+#[derive(Debug, Clone, Default)]
 struct Workload {
     ops: Vec<Op>,
     /// Per-address write history as (op index, value), in op order.
@@ -274,26 +283,16 @@ fn value_for(i: usize) -> [u8; BLOCK_SIZE] {
 /// [`FaultSweepConfig::workload`] replaces the generator wholesale, with
 /// write values assigned by op index exactly as the generator assigns them.
 fn generate(cfg: &FaultSweepConfig) -> Workload {
+    let mut w = Workload::default();
     if !cfg.workload.is_empty() {
-        let mut ops = Vec::with_capacity(cfg.workload.len());
-        let mut history: BTreeMap<u64, Vec<(usize, [u8; BLOCK_SIZE])>> = BTreeMap::new();
         for (i, op) in cfg.workload.iter().enumerate() {
-            let addr = (op.addr / BLOCK_SIZE as u64) * BLOCK_SIZE as u64;
-            if op.write {
-                let value = value_for(i);
-                history.entry(addr).or_default().push((i, value));
-                ops.push(Op::Write { addr, value });
-            } else {
-                ops.push(Op::Read { addr });
-            }
+            w.push((op.addr / BLOCK_SIZE as u64) * BLOCK_SIZE as u64, op.write, i);
         }
-        return Workload { ops, history };
+        return w;
     }
     let mut rng = Rng::seed_from_u64(cfg.seed);
     let blocks = cfg.capacity / BLOCK_SIZE as u64;
     let hot = 32u64.min(blocks);
-    let mut ops = Vec::with_capacity(cfg.ops);
-    let mut history: BTreeMap<u64, Vec<(usize, [u8; BLOCK_SIZE])>> = BTreeMap::new();
     for i in 0..cfg.ops {
         let addr = if rng.gen_bool(0.75) {
             rng.gen_range(0..hot) * BLOCK_SIZE as u64
@@ -301,18 +300,27 @@ fn generate(cfg: &FaultSweepConfig) -> Workload {
             rng.gen_range(0..blocks) * BLOCK_SIZE as u64
         };
         // Leading writes guarantee the hot region heats up before any read.
-        if i >= 4 && rng.gen_bool(0.2) {
-            ops.push(Op::Read { addr });
-        } else {
-            let value = value_for(i);
-            history.entry(addr).or_default().push((i, value));
-            ops.push(Op::Write { addr, value });
-        }
+        let read = i >= 4 && rng.gen_bool(0.2);
+        w.push(addr, !read, i);
     }
-    Workload { ops, history }
+    w
 }
 
 impl Workload {
+    /// Appends one op on `addr`. A write stores [`value_for`]`(value_index)`
+    /// and records it in the history under its position in *this*
+    /// workload.
+    fn push(&mut self, addr: u64, write: bool, value_index: usize) {
+        if write {
+            let value = value_for(value_index);
+            let index = self.ops.len();
+            self.history.entry(addr).or_default().push((index, value));
+            self.ops.push(Op::Write { addr, value });
+        } else {
+            self.ops.push(Op::Read { addr });
+        }
+    }
+
     /// Expected contents of `addr` once the first `completed` ops ran
     /// (`None` = never written: factory zeros). Test-only cross-check of
     /// the oracle replay.
@@ -357,12 +365,6 @@ impl Workload {
         }
         m
     }
-}
-
-fn fresh(kind: ProtocolKind, cfg: &FaultSweepConfig) -> Result<SecureMemory, IntegrityError> {
-    let mem_cfg = SecureMemoryConfig::with_capacity(cfg.capacity)
-        .with_metadata_cache_bytes(cfg.metadata_cache_bytes);
-    SecureMemory::new(mem_cfg, kind)
 }
 
 fn apply(mem: &mut SecureMemory, t: u64, op: &Op) -> Result<u64, IntegrityError> {
@@ -488,27 +490,140 @@ fn report_in_bounds(kind: ProtocolKind, mem: &SecureMemory, report: &RecoveryRep
     }
 }
 
-/// Replays `ops[..limit]` against a fresh armed controller until the plan
-/// cuts power (or the prefix completes). Returns the controller, the number
-/// of *completed* ops, and whether a fault actually fired.
+fn fresh(kind: ProtocolKind, cfg: &ShardSweepConfig) -> Result<ShardedMemory, IntegrityError> {
+    let mem_cfg = SecureMemoryConfig::with_capacity(cfg.capacity)
+        .with_metadata_cache_bytes(cfg.metadata_cache_bytes);
+    ShardedMemory::new(mem_cfg, kind, cfg.shards)
+}
+
+fn shard_engine(
+    mem: &mut ShardedMemory,
+    idx: usize,
+) -> Result<&mut SecureMemory, IntegrityError> {
+    mem.shard_mut(idx).ok_or(IntegrityError::Invariant {
+        what: "sweep addressed a missing shard",
+    })
+}
+
+/// Replays the first `limit` entries of the interleave `schedule` —
+/// `(shard, index into that shard's workload)` — against a fresh sharded
+/// controller, every op through [`apply`], optionally with a fault hook
+/// armed on the victim shard's lane. Healthy shards keep
+/// executing after the victim's fault fires, and epoch merges seal every
+/// `merge_every` ops until then (after it they defer). Returns the
+/// controller, the completed-op count per shard, whether the victim's fault
+/// fired, and the victim lane's device-write ordinal after each of its
+/// completed ops.
 fn replay(
+    kind: ProtocolKind,
+    cfg: &ShardSweepConfig,
+    per_shard: &[Workload],
+    schedule: &[(usize, usize)],
+    limit: usize,
+    victim: Option<(usize, Box<dyn FaultHook>)>,
+) -> Result<(ShardedMemory, Vec<usize>, bool, Vec<u64>), IntegrityError> {
+    let mut mem = fresh(kind, cfg)?;
+    let victim_shard = victim.as_ref().map(|(v, _)| *v);
+    if let Some((v, hook)) = victim {
+        shard_engine(&mut mem, v)?.nvm_mut().arm_fault_hook(hook);
+    }
+    let mut clocks = vec![0u64; cfg.shards];
+    let mut completed = vec![0usize; cfg.shards];
+    let mut boundaries = Vec::new();
+    let mut faulted = false;
+    for (i, &(shard, local)) in schedule.iter().take(limit).enumerate() {
+        if cfg.merge_every > 0 && i > 0 && i % cfg.merge_every == 0 && !faulted {
+            // Epoch boundary: healthy runs seal; once the victim is down,
+            // merges defer (freshness must not advance over a stale
+            // sub-root) while the other shards keep committing mid-epoch.
+            // The seal itself flushes the victim's verify queue, so the
+            // armed fault can fire *inside* the merge — a legitimate
+            // mid-epoch crash point, not a harness error.
+            match mem.epoch_merge() {
+                Ok(_) => {}
+                Err(ref e) if power_failed(e) && victim_shard.is_some() => {
+                    faulted = true;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        let is_victim = Some(shard) == victim_shard;
+        if faulted && is_victim {
+            continue;
+        }
+        let Some(op) = per_shard.get(shard).and_then(|w| w.ops.get(local)) else {
+            continue;
+        };
+        let now = clocks.get(shard).copied().unwrap_or(0);
+        let engine = shard_engine(&mut mem, shard)?;
+        match apply(engine, now, op) {
+            Ok(done) => {
+                if is_victim {
+                    boundaries.push(engine.nvm_mut().device_write_ordinals());
+                }
+                if let Some(c) = clocks.get_mut(shard) {
+                    *c = done;
+                }
+                if let Some(c) = completed.get_mut(shard) {
+                    *c += 1;
+                }
+            }
+            Err(ref e) if power_failed(e) && is_victim => faulted = true,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok((mem, completed, faulted, boundaries))
+}
+
+/// The plain sweep's replay: the one-shard, no-merge case of [`replay`],
+/// with `w` alone on shard 0 and `hook` armed on its lane. Returns shard
+/// 0's engine detached from its facade, and [`replay`]'s other results for
+/// that shard.
+fn replay_one(
     kind: ProtocolKind,
     cfg: &FaultSweepConfig,
     w: &Workload,
     hook: Box<dyn FaultHook>,
     limit: usize,
-) -> Result<(SecureMemory, usize, bool), IntegrityError> {
-    let mut mem = fresh(kind, cfg)?;
-    mem.nvm_mut().arm_fault_hook(hook);
-    let mut t = 0;
-    for (i, op) in w.ops.iter().take(limit).enumerate() {
-        match apply(&mut mem, t, op) {
-            Ok(done) => t = done,
-            Err(ref e) if power_failed(e) => return Ok((mem, i, true)),
-            Err(e) => return Err(e),
-        }
+) -> Result<(SecureMemory, usize, bool, Vec<u64>), IntegrityError> {
+    let one = ShardSweepConfig {
+        shards: 1,
+        capacity: cfg.capacity,
+        metadata_cache_bytes: cfg.metadata_cache_bytes,
+        merge_every: 0,
+        ..ShardSweepConfig::default()
+    };
+    let schedule: Vec<(usize, usize)> = (0..w.ops.len()).map(|i| (0, i)).collect();
+    let per_shard = std::slice::from_ref(w);
+    let (mut mem, completed, faulted, boundaries) =
+        replay(kind, &one, per_shard, &schedule, limit, Some((0, hook)))?;
+    let engine = mem.detach_shards().pop().ok_or(IntegrityError::Invariant {
+        what: "one-shard replay has no engine",
+    })?;
+    Ok((engine, completed.first().copied().unwrap_or(0), faulted, boundaries))
+}
+
+/// The tamper target for crash ordinal `k` once `completed` ops of `w`
+/// committed: a committed (preferably) workload block that is not the
+/// interrupted op's own, so a read error there is never excused by the
+/// mid-update exemption. The flipped line rotates by ordinal over that data
+/// block, its counter block, and its bottom-level tree node. Returns the
+/// media address and the bit to flip.
+fn tamper_target(w: &Workload, completed: usize, k: u64, g: &BmtGeometry) -> (u64, u8) {
+    let interrupted = w.interrupted_target(completed);
+    let data = w
+        .history
+        .iter()
+        .find(|(&a, h)| Some(a) != interrupted && h.first().is_some_and(|&(i, _)| i < completed))
+        .or_else(|| w.history.iter().find(|(&a, _)| Some(a) != interrupted))
+        .map(|(&a, _)| a)
+        .unwrap_or(0);
+    let counter = g.counter_index(data);
+    match k % 3 {
+        0 => (data + 3, 2),
+        2 if g.bottom_level() >= 2 => (g.node_addr(g.counter_parent(counter)) + 7, 0),
+        _ => (g.counter_addr(counter) + 5, 1),
     }
-    Ok((mem, limit, false))
 }
 
 /// Crash, recover and classify one fault scenario.
@@ -589,18 +704,12 @@ fn run_sweep_impl(
     mut tr: Option<&mut amnt_trace::Tracer>,
 ) -> Result<SweepSummary, IntegrityError> {
     let w = generate(cfg);
+    let n = w.ops.len();
 
     // Phase 1: count device-write ordinals, record each op's boundary, and
     // collect the eviction-writeback ordinal class.
-    let mut mem = fresh(kind, cfg)?;
-    mem.nvm_mut()
-        .arm_fault_hook(Box::new(FaultPlan::count_only()));
-    let mut t = 0;
-    let mut boundaries = Vec::with_capacity(w.ops.len());
-    for op in &w.ops {
-        t = apply(&mut mem, t, op)?;
-        boundaries.push(mem.nvm_mut().device_write_ordinals());
-    }
+    let (mut mem, _, _, boundaries) =
+        replay_one(kind, cfg, &w, Box::new(FaultPlan::count_only()), n)?;
     let total = boundaries.last().copied().unwrap_or(0);
     let evict_ordinals: BTreeSet<u64> = mem
         .nvm_mut()
@@ -626,7 +735,7 @@ fn run_sweep_impl(
         // procedure's own device writes become the nested sweep's crash
         // points, counted in their fresh post-crash ordinal domain.
         let plan = PhasedPlan::two_phase(FaultPlan::crash_after(k), FaultPlan::count_only());
-        let (mut mem, completed, faulted) = replay(kind, cfg, &w, Box::new(plan), w.ops.len())?;
+        let (mut mem, completed, faulted, _) = replay_one(kind, cfg, &w, Box::new(plan), n)?;
         let mut recovery_writes = 0u64;
         let mut baseline_media: Option<Vec<(u64, Vec<u8>)>> = None;
         if faulted {
@@ -724,7 +833,7 @@ fn run_sweep_impl(
         }
         for half in [TornHalf::First, TornHalf::Last] {
             let plan = FaultPlan::torn_after(k, half);
-            let (mut mem, completed, faulted) = replay(kind, cfg, &w, Box::new(plan), w.ops.len())?;
+            let (mut mem, completed, faulted, _) = replay_one(kind, cfg, &w, Box::new(plan), n)?;
             if !faulted {
                 continue;
             }
@@ -757,10 +866,10 @@ fn run_sweep_impl(
     }
 
     // Phase 3: dropped WPQ tails at every op boundary.
-    for limit in 1..=w.ops.len() {
+    for limit in 1..=n {
         for &depth in &cfg.tail_depths {
-            let (mut mem, completed, _) =
-                replay(kind, cfg, &w, Box::new(FaultPlan::drop_tail(depth)), limit)?;
+            let hook = Box::new(FaultPlan::drop_tail(depth));
+            let (mut mem, completed, _, _) = replay_one(kind, cfg, &w, hook, limit)?;
             if let Some(t) = tr.as_deref_mut() {
                 t.add("sweep.scenarios.tail", 1);
                 t.record("sweep.tail.depth", depth as u64);
@@ -791,8 +900,8 @@ fn run_sweep_impl(
     // recovery is required and any deficit counts). Reading the target
     // `verify_queue` (cap) times also covers the batch-full drain path —
     // the queue is empty again at that depth, which is itself a scenario.
-    let queue_cap = fresh(kind, cfg)?.config().verify_queue.max(1);
-    for limit in 1..=w.ops.len() {
+    let queue_cap = mem.config().verify_queue.max(1);
+    for limit in 1..=n {
         // An address already committed within the prefix, to stack
         // deferred checks against.
         let target = w
@@ -802,8 +911,8 @@ fn run_sweep_impl(
             .map(|(&a, _)| a);
         let Some(target) = target else { continue };
         for depth in 1..=queue_cap as u64 {
-            let (mut mem, completed, faulted) =
-                replay(kind, cfg, &w, Box::new(FaultPlan::count_only()), limit)?;
+            let hook = Box::new(FaultPlan::count_only());
+            let (mut mem, completed, faulted, _) = replay_one(kind, cfg, &w, hook, limit)?;
             debug_assert!(!faulted, "count-only replay never faults");
             // Trailing workload reads may have left deferred checks of
             // their own; depth accounting starts from that base.
@@ -872,7 +981,7 @@ fn run_sweep_impl(
             } else {
                 Box::new(FaultPlan::crash_after(k))
             };
-            let (mut mem, completed, faulted) = replay(kind, cfg, &w, plan, w.ops.len())?;
+            let (mut mem, completed, faulted, _) = replay_one(kind, cfg, &w, plan, n)?;
             if !faulted {
                 continue;
             }
@@ -892,26 +1001,7 @@ fn run_sweep_impl(
                 }
                 mem.crash();
             }
-            // Deterministic target: a committed (preferably) workload
-            // address that is not the interrupted op's own block, so a read
-            // error there is never excused by the mid-update exemption.
-            let interrupted = w.interrupted_target(completed);
-            let target_data = w
-                .history
-                .iter()
-                .find(|(&a, h)| {
-                    Some(a) != interrupted && h.first().is_some_and(|&(i, _)| i < completed)
-                })
-                .or_else(|| w.history.iter().find(|(&a, _)| Some(a) != interrupted))
-                .map(|(&a, _)| a)
-                .unwrap_or(0);
-            let g = mem.geometry();
-            let counter = g.counter_index(target_data);
-            let (tamper_addr, bit) = match k % 3 {
-                0 => (target_data + 3, 2),
-                2 if g.bottom_level() >= 2 => (g.node_addr(g.counter_parent(counter)) + 7, 0),
-                _ => (g.counter_addr(counter) + 5, 1),
-            };
+            let (tamper_addr, bit) = tamper_target(&w, completed, k, mem.geometry());
             mem.nvm_mut().tamper_flip_bit(tamper_addr, bit);
             s.tamper_points += 1;
             if let Some(t) = tr.as_deref_mut() {
@@ -987,7 +1077,8 @@ fn nested_recovery_sweep(
                 CrashWriteMode::Torn(half) => FaultPlan::torn_after(r, half),
             };
             let plan = PhasedPlan::two_phase(FaultPlan::crash_after(k), rplan);
-            let (mut mem, completed, faulted) = replay(kind, cfg, &w, Box::new(plan), w.ops.len())?;
+            let (mut mem, completed, faulted, _) =
+                replay_one(kind, cfg, w, Box::new(plan), w.ops.len())?;
             if !faulted {
                 continue;
             }
@@ -1143,18 +1234,13 @@ pub struct ShardSweepSummary {
 
 /// The seeded multi-tenant workload: one local-coordinate [`Workload`] per
 /// shard plus the deterministic interleave schedule `(shard, local index)`.
-fn generate_sharded(cfg: &ShardSweepConfig) -> (Vec<Workload>, Vec<(usize, usize)>) {
+fn generate_tenants(cfg: &ShardSweepConfig) -> (Vec<Workload>, Vec<(usize, usize)>) {
     let shards = cfg.shards.max(1);
     let span = cfg.capacity / shards as u64;
     let blocks = span / BLOCK_SIZE as u64;
     let hot = 16u64.min(blocks.max(1));
     let mut rng = Rng::seed_from_u64(cfg.seed);
-    let mut per_shard: Vec<Workload> = (0..shards)
-        .map(|_| Workload {
-            ops: Vec::new(),
-            history: BTreeMap::new(),
-        })
-        .collect();
+    let mut per_shard = vec![Workload::default(); shards];
     let mut schedule = Vec::with_capacity(cfg.ops);
     for i in 0..cfg.ops {
         // Leading round-robin writes guarantee every tenant commits state
@@ -1171,108 +1257,16 @@ fn generate_sharded(cfg: &ShardSweepConfig) -> (Vec<Workload>, Vec<(usize, usize
         } else {
             rng.gen_range(0..blocks.max(1))
         };
-        let addr = block * BLOCK_SIZE as u64;
         let Some(w) = per_shard.get_mut(shard) else {
             continue;
         };
-        let local_index = w.ops.len();
-        if i >= shards * 2 && rng.gen_bool(0.2) {
-            w.ops.push(Op::Read { addr });
-        } else {
-            // Values keyed by the *global* op index: unique across tenants,
-            // so identical bytes can never alias across a shard boundary.
-            let value = value_for(i);
-            w.history.entry(addr).or_default().push((local_index, value));
-            w.ops.push(Op::Write { addr, value });
-        }
-        schedule.push((shard, local_index));
+        schedule.push((shard, w.ops.len()));
+        let read = i >= shards * 2 && rng.gen_bool(0.2);
+        // Values keyed by the *global* op index: unique across tenants, so
+        // identical bytes can never alias across a shard boundary.
+        w.push(block * BLOCK_SIZE as u64, !read, i);
     }
     (per_shard, schedule)
-}
-
-fn shard_fresh(
-    kind: ProtocolKind,
-    cfg: &ShardSweepConfig,
-) -> Result<ShardedMemory, IntegrityError> {
-    let mem_cfg = SecureMemoryConfig::with_capacity(cfg.capacity)
-        .with_metadata_cache_bytes(cfg.metadata_cache_bytes);
-    ShardedMemory::new(mem_cfg, kind, cfg.shards)
-}
-
-fn shard_engine(
-    mem: &mut ShardedMemory,
-    idx: usize,
-) -> Result<&mut SecureMemory, IntegrityError> {
-    mem.shard_mut(idx).ok_or(IntegrityError::Invariant {
-        what: "shard sweep addressed a missing shard",
-    })
-}
-
-/// Replays the interleaved schedule against a fresh sharded controller,
-/// optionally with a fault hook armed on the victim shard's lane. Healthy
-/// shards keep executing (and epoch merges keep sealing, until the victim
-/// crashes mid-epoch and merges defer). Returns the controller, per-shard
-/// completed-op counts, and whether the victim's fault fired.
-fn shard_replay(
-    kind: ProtocolKind,
-    cfg: &ShardSweepConfig,
-    per_shard: &[Workload],
-    schedule: &[(usize, usize)],
-    victim: Option<(usize, Box<dyn FaultHook>)>,
-) -> Result<(ShardedMemory, Vec<usize>, bool), IntegrityError> {
-    let mut mem = shard_fresh(kind, cfg)?;
-    let victim_shard = victim.as_ref().map(|(v, _)| *v);
-    if let Some((v, hook)) = victim {
-        shard_engine(&mut mem, v)?.nvm_mut().arm_fault_hook(hook);
-    }
-    let span = mem.span();
-    let mut clocks = vec![0u64; cfg.shards];
-    let mut completed = vec![0usize; cfg.shards];
-    let mut faulted = false;
-    for (i, &(shard, local)) in schedule.iter().enumerate() {
-        if cfg.merge_every > 0 && i > 0 && i % cfg.merge_every == 0 && !faulted {
-            // Epoch boundary: healthy runs seal; once the victim is down,
-            // merges defer (freshness must not advance over a stale
-            // sub-root) while the other shards keep committing mid-epoch.
-            // The seal itself flushes the victim's verify queue, so the
-            // armed fault can fire *inside* the merge — a legitimate
-            // mid-epoch crash point, not a harness error.
-            match mem.epoch_merge() {
-                Ok(_) => {}
-                Err(ref e) if power_failed(e) && victim_shard.is_some() => {
-                    faulted = true;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if faulted && Some(shard) == victim_shard {
-            continue;
-        }
-        let Some(op) = per_shard.get(shard).and_then(|w| w.ops.get(local)).copied() else {
-            continue;
-        };
-        let base = shard as u64 * span;
-        let now = clocks.get(shard).copied().unwrap_or(0);
-        let done = match op {
-            Op::Write { addr, value } => mem.write_block(now, base + addr, &value),
-            Op::Read { addr } => mem.read_block(now, base + addr).map(|(_, done)| done),
-        };
-        match done {
-            Ok(done) => {
-                if let Some(c) = clocks.get_mut(shard) {
-                    *c = done;
-                }
-                if let Some(c) = completed.get_mut(shard) {
-                    *c += 1;
-                }
-            }
-            Err(ref e) if power_failed(e) && Some(shard) == victim_shard => {
-                faulted = true;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok((mem, completed, faulted))
 }
 
 /// The data-region lines of a per-shard media image. Metadata lines above
@@ -1342,7 +1336,8 @@ pub fn run_shard_sweep(
     kind: ProtocolKind,
     cfg: &ShardSweepConfig,
 ) -> Result<ShardSweepSummary, IntegrityError> {
-    let (per_shard, schedule) = generate_sharded(cfg);
+    let (per_shard, schedule) = generate_tenants(cfg);
+    let n = schedule.len();
     let mut s = ShardSweepSummary {
         shards: cfg.shards as u64,
         ..ShardSweepSummary::default()
@@ -1350,7 +1345,7 @@ pub fn run_shard_sweep(
 
     // Baseline: the fault-free run every cross-shard comparison measures
     // against. The final merge must seal and verify.
-    let (mut base, _, _) = shard_replay(kind, cfg, &per_shard, &schedule, None)?;
+    let mut base = replay(kind, cfg, &per_shard, &schedule, n, None)?.0;
     let sealed = base.epoch_merge()?;
     if !base.verify_merge(&sealed) {
         s.merge_failures += 1;
@@ -1359,29 +1354,38 @@ pub fn run_shard_sweep(
     let base_epoch = base.epoch();
 
     for victim in 0..cfg.shards {
+        let w = per_shard.get(victim).ok_or(IntegrityError::Invariant {
+            what: "victim workload missing",
+        })?;
         // Count the victim lane's device-write ordinal domain.
         let plan: Box<dyn FaultHook> = Box::new(FaultPlan::count_only());
-        let (mut counted, _, _) =
-            shard_replay(kind, cfg, &per_shard, &schedule, Some((victim, plan)))?;
+        let mut counted = replay(kind, cfg, &per_shard, &schedule, n, Some((victim, plan)))?.0;
         let points = shard_engine(&mut counted, victim)?
             .nvm_mut()
             .device_write_ordinals();
         s.crash_points += points;
 
-        for k in 0..points {
+        // Replays to victim crash point `k` and power-fails the victim;
+        // `None` when the fault never fired.
+        let crashed = |k: u64| -> Result<Option<(ShardedMemory, usize)>, IntegrityError> {
             let plan: Box<dyn FaultHook> = Box::new(FaultPlan::crash_after(k));
-            let (mut mem, completed, faulted) =
-                shard_replay(kind, cfg, &per_shard, &schedule, Some((victim, plan)))?;
+            let (mut mem, completed, faulted, _) =
+                replay(kind, cfg, &per_shard, &schedule, n, Some((victim, plan)))?;
             if !faulted {
-                continue;
+                return Ok(None);
             }
             mem.crash_shard(victim)?;
+            Ok(Some((mem, completed.get(victim).copied().unwrap_or(0))))
+        };
+        for k in 0..points {
+            let Some((mut mem, done)) = crashed(k)? else {
+                continue;
+            };
             // Non-victim shards finished every op; their media must be
             // byte-identical to the fault-free baseline even before the
             // victim recovers (recovery may not touch them either).
             s.cross_shard_disturbances +=
                 cross_shard_divergences(&mut mem, &per_shard, &base_media, victim)?;
-            let done = completed.get(victim).copied().unwrap_or(0);
             let outcome = match mem.recover_shard(victim) {
                 Err(_) => Outcome::Detected,
                 Ok(report) => {
@@ -1389,9 +1393,6 @@ pub fn run_shard_sweep(
                     if !report_in_bounds(kind, engine, &report) {
                         s.bounds_violations += 1;
                     }
-                    let w = per_shard.get(victim).ok_or(IntegrityError::Invariant {
-                        what: "victim workload missing",
-                    })?;
                     classify_readback(engine, w, done, true, false)
                 }
             };
@@ -1418,36 +1419,12 @@ pub fn run_shard_sweep(
             continue;
         }
         for k in 0..points {
-            let plan: Box<dyn FaultHook> = Box::new(FaultPlan::crash_after(k));
-            let (mut mem, completed, faulted) =
-                shard_replay(kind, cfg, &per_shard, &schedule, Some((victim, plan)))?;
-            if !faulted {
+            let Some((mut mem, done)) = crashed(k)? else {
                 continue;
-            }
-            mem.crash_shard(victim)?;
-            let done = completed.get(victim).copied().unwrap_or(0);
-            let w = per_shard.get(victim).ok_or(IntegrityError::Invariant {
-                what: "victim workload missing",
-            })?;
-            // Deterministic victim-local target: a committed tenant block
-            // that is not the interrupted op's own, rotating over the data
-            // line, its counter line, and its bottom-level tree node.
-            let interrupted = w.interrupted_target(done);
-            let target = w
-                .history
-                .iter()
-                .find(|(&a, h)| Some(a) != interrupted && h.first().is_some_and(|&(i, _)| i < done))
-                .or_else(|| w.history.iter().find(|(&a, _)| Some(a) != interrupted))
-                .map(|(&a, _)| a)
-                .unwrap_or(0);
-            let engine = shard_engine(&mut mem, victim)?;
-            let g = engine.geometry();
-            let counter = g.counter_index(target);
-            let (tamper_addr, bit) = match k % 3 {
-                0 => (target + 3, 2),
-                2 if g.bottom_level() >= 2 => (g.node_addr(g.counter_parent(counter)) + 7, 0),
-                _ => (g.counter_addr(counter) + 5, 1),
             };
+            // A victim-local target: the damage lives in the victim alone.
+            let engine = shard_engine(&mut mem, victim)?;
+            let (tamper_addr, bit) = tamper_target(w, done, k, engine.geometry());
             engine.nvm_mut().tamper_flip_bit(tamper_addr, bit);
             s.tamper_points += 1;
             match mem.recover_shard(victim) {
@@ -1586,25 +1563,47 @@ mod tests {
     }
 
     #[test]
-    fn phase_one_counts_are_stable() {
-        let cfg = FaultSweepConfig {
-            ops: 8,
-            ..FaultSweepConfig::default()
-        };
+    fn one_shard_count_pass_matches_bare_engine() {
+        // Phase 1's one-shard replay must see exactly what a count-only
+        // pass over a bare `SecureMemory` sees: every op completes, with
+        // the same op boundaries, total ordinals and eviction-writeback
+        // class — and a second replay sees them again.
+        let cfg = FaultSweepConfig::default();
         let w = generate(&cfg);
-        let mut totals = Vec::new();
-        for _ in 0..2 {
-            let mut mem = fresh(ProtocolKind::Leaf, &cfg).expect("controller");
-            mem.nvm_mut()
+        for (name, kind) in sweep_protocols() {
+            let mem_cfg = SecureMemoryConfig::with_capacity(cfg.capacity)
+                .with_metadata_cache_bytes(cfg.metadata_cache_bytes);
+            let mut bare = SecureMemory::new(mem_cfg, kind).expect("controller");
+            bare.nvm_mut()
                 .arm_fault_hook(Box::new(FaultPlan::count_only()));
             let mut t = 0;
+            let mut boundaries = Vec::new();
             for op in &w.ops {
-                t = apply(&mut mem, t, op).expect("op");
+                t = apply(&mut bare, t, op).expect("op");
+                boundaries.push(bare.nvm_mut().device_write_ordinals());
             }
-            totals.push(mem.nvm_mut().device_write_ordinals());
+            assert!(boundaries.last().is_some_and(|&b| b > 0), "{name}: no writes");
+
+            let count = || {
+                let hook = Box::new(FaultPlan::count_only());
+                replay_one(kind, &cfg, &w, hook, w.ops.len()).expect("replay")
+            };
+            let (mut one, completed, faulted, ordinals) = count();
+            assert_eq!(completed, w.ops.len(), "{name}: completed ops");
+            assert!(!faulted, "{name}: count-only replay faulted");
+            assert_eq!(ordinals, boundaries, "{name}: op boundaries");
+            assert_eq!(
+                one.nvm_mut().device_write_ordinals(),
+                bare.nvm_mut().device_write_ordinals(),
+                "{name}: total ordinals"
+            );
+            assert_eq!(
+                one.nvm_mut().eviction_write_ordinals(),
+                bare.nvm_mut().eviction_write_ordinals(),
+                "{name}: eviction-writeback ordinals"
+            );
+            assert_eq!(count().3, ordinals, "{name}: replay unstable");
         }
-        assert_eq!(totals[0], totals[1]);
-        assert!(totals[0] > 0);
     }
 
     #[test]
@@ -1621,9 +1620,15 @@ mod tests {
             ..FaultSweepConfig::default()
         };
         let w = generate(&cfg);
-        assert_eq!(w.ops.len(), 4);
-        assert_eq!(w.ops[0], Op::Write { addr: 0, value: value_for(0) });
-        assert_eq!(w.ops[2], Op::Read { addr: 0 });
+        // Exactly what the shared builder makes of the snapped ops, with
+        // write values keyed by op index.
+        let mut expect = Workload::default();
+        expect.push(0, true, 0);
+        expect.push(128, true, 1);
+        expect.push(0, false, 2);
+        expect.push(128, true, 3);
+        assert_eq!(w.ops, expect.ops);
+        assert_eq!(w.history, expect.history);
         assert_eq!(w.ops[3], Op::Write { addr: 128, value: value_for(3) });
         assert_eq!(w.history.get(&128).map(Vec::len), Some(2));
         // Deterministic: the override ignores the seed entirely.
@@ -1634,17 +1639,17 @@ mod tests {
     #[test]
     fn sharded_workloads_are_deterministic_and_cover_every_tenant() {
         let cfg = ShardSweepConfig::default();
-        let (a, sched_a) = generate_sharded(&cfg);
-        let (b, sched_b) = generate_sharded(&cfg);
+        let (a, sched_a) = generate_tenants(&cfg);
+        let (b, sched_b) = generate_tenants(&cfg);
         assert_eq!(sched_a, sched_b);
         assert_eq!(a.len(), cfg.shards);
+        let span = cfg.capacity / cfg.shards as u64;
         for (shard, w) in a.iter().enumerate() {
             assert_eq!(w.ops, b[shard].ops, "shard {shard} workload unstable");
             assert!(
                 w.ops.iter().take(2).all(|op| matches!(op, Op::Write { .. })),
                 "tenant {shard} must open with committed writes"
             );
-            let span = cfg.capacity / cfg.shards as u64;
             for op in &w.ops {
                 let addr = match *op {
                     Op::Write { addr, .. } | Op::Read { addr } => addr,
@@ -1653,9 +1658,21 @@ mod tests {
                 assert_eq!(addr % BLOCK_SIZE as u64, 0);
             }
         }
-        // Schedule indexes stay in range and reference real ops.
-        for &(shard, local) in &sched_a {
-            assert!(a[shard].ops.get(local).is_some());
+        // Rebuilding every tenant from the schedule with the shared builder
+        // reproduces it exactly: local history indices, values keyed by the
+        // global op index.
+        let mut rebuilt = vec![Workload::default(); cfg.shards];
+        for (i, &(shard, local)) in sched_a.iter().enumerate() {
+            let (addr, write) = match a[shard].ops[local] {
+                Op::Write { addr, .. } => (addr, true),
+                Op::Read { addr } => (addr, false),
+            };
+            assert_eq!(rebuilt[shard].ops.len(), local, "schedule out of order");
+            rebuilt[shard].push(addr, write, i);
+        }
+        for (shard, w) in rebuilt.iter().enumerate() {
+            assert_eq!(w.ops, a[shard].ops, "tenant {shard} ops");
+            assert_eq!(w.history, a[shard].history, "tenant {shard} history");
         }
     }
 

@@ -41,7 +41,6 @@ mod config;
 mod controller;
 mod error;
 pub mod fault;
-mod hybrid;
 mod overhead;
 mod protocol;
 mod recovery;
@@ -54,7 +53,6 @@ pub use config::{MemTiming, SecureMemoryConfig, WriteQueueConfig};
 pub use controller::{SecureMemory, BLOCK_SIZE};
 pub use error::{IntegrityError, RecoveryError};
 pub use fault::{FaultSweepConfig, ShardSweepConfig, ShardSweepSummary, SweepOp, SweepSummary};
-pub use hybrid::{HybridConfig, HybridMemory, Partition};
 pub use shard::{MergeReport, ShardedMemory};
 pub use overhead::{hardware_overhead, HardwareOverhead};
 pub use protocol::{

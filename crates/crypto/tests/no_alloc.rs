@@ -6,6 +6,10 @@
 //! concatenation buffer or `Vec` in the hot path fails these tests rather
 //! than silently costing an allocation per memory access.
 //!
+//! Counts are kept per thread: the test harness and the other tests run on
+//! their own threads and allocate concurrently, and none of that may be
+//! charged to the MAC under test.
+//!
 //! The counting allocator lives here (an integration test binary) because
 //! the library itself is `#![forbid(unsafe_code)]`; implementing
 //! `GlobalAlloc` requires `unsafe`, and confining it to the test keeps that
@@ -13,17 +17,24 @@
 
 use amnt_crypto::{mac64_batch, HmacSha256, DATA_MAC_MSG_LEN, LANES};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Forwards to the system allocator, counting every allocation.
+/// Forwards to the system allocator, counting every allocation made on the
+/// calling thread.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and drop-free, so touching it from inside the
+    // allocator never allocates or registers a destructor.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: pure pass-through to `System`; the counter is a relaxed atomic.
+// SAFETY: pure pass-through to `System`; the counter is a thread-local
+// `Cell` that needs no allocation.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // `try_with`: during thread teardown the slot may already be gone.
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -34,11 +45,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Runs `f` and returns how many heap allocations it performed.
+/// Runs `f` and returns how many heap allocations it performed on this
+/// thread.
 fn allocs_during<T>(f: impl FnOnce() -> T) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     std::hint::black_box(f());
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 #[test]

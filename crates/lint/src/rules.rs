@@ -87,14 +87,14 @@ pub const RULES: [RuleInfo; 9] = [
         severity: Severity::Error,
         summary: "no panics in, or reachable from, the crash/recovery path",
         explanation: "\
-The protocol engines, the recovery engine, the controller, and the hybrid
-mapper run on the crash/recovery path: a panic there is indistinguishable
-from the very data-loss event the system exists to survive, and it skips
-the typed IntegrityError/RecoveryError reporting the callers rely on.
+The protocol engines, the recovery engine and the controller run on the
+crash/recovery path: a panic there is indistinguishable from the very
+data-loss event the system exists to survive, and it skips the typed
+IntegrityError/RecoveryError reporting the callers rely on.
 Two layers:
   1. Per-file: unwrap/expect/panic!/unreachable! anywhere under
      crates/core/src/protocol/, crates/core/src/recovery.rs,
-     crates/core/src/controller.rs, crates/core/src/hybrid.rs.
+     crates/core/src/controller.rs.
   2. Reachability: any function transitively callable from a
      recover/crash/dirty_shutdown entry point in crates/core or
      crates/nvm — whatever file it lives in — must be free of the same
@@ -259,11 +259,10 @@ pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
 /// Crash-critical scope for R1's per-file layer (the reachability layer
 /// in [`crate::dataflow`] skips these files' panic patterns to avoid
 /// duplicate findings, but still applies the indexing check).
-pub(crate) const R1_SCOPE: [&str; 4] = [
+pub(crate) const R1_SCOPE: [&str; 3] = [
     "crates/core/src/protocol/",
     "crates/core/src/recovery.rs",
     "crates/core/src/controller.rs",
-    "crates/core/src/hybrid.rs",
 ];
 
 /// Determinism scope for R2. The trace crate is included: its sidecar

@@ -29,12 +29,10 @@ use std::fmt;
 use std::ops::Bound;
 
 mod fault;
-mod start_gap;
 pub use fault::{
     CrashFaults, CrashWriteMode, FaultAction, FaultHook, FaultPlan, PhasedPlan, TornHalf,
     WriteClass,
 };
-pub use start_gap::StartGap;
 
 /// Size of a memory block (cache line) in bytes.
 pub const BLOCK_SIZE: usize = 64;

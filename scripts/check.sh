@@ -40,6 +40,12 @@ fi
 echo "== cargo build --release --workspace =="
 cargo build --release --workspace || fail=1
 
+echo "== cargo build --release (benchmark package) =="
+# benchmark/ is its own workspace with path dependencies on crates/*, so
+# the workspace build above never compiles it. Building it here makes a
+# removed or renamed public item that the benchmark uses fail this gate.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml || fail=1
+
 echo "== cargo test --workspace =="
 cargo test -q --workspace || fail=1
 
